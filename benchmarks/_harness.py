@@ -8,7 +8,8 @@ thin, readable description of one experiment.
 
 Results are printed and also written to ``benchmarks/results/<name>.txt`` so
 they survive pytest's output capturing; EXPERIMENTS.md summarises them next to
-the numbers reported in the paper.
+the numbers reported in the paper.  Smoke runs (``REPRO_BENCH_SMOKE=1``) write
+to a temporary directory instead, so they never overwrite the committed records.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import tempfile
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -62,9 +64,8 @@ def run_client_experiment(
 ):
     """Framework experiment through the public facade.
 
-    The benchmarks' replacement for the deprecated
-    ``run_framework_experiment`` shim: one :class:`~repro.api.RunConfig`, one
-    short-lived :class:`~repro.api.ResolutionClient`, identical semantics.
+    One :class:`~repro.api.RunConfig`, one short-lived
+    :class:`~repro.api.ResolutionClient`.
     """
     options = resolver_options or ResolverOptions(
         max_rounds=max_interaction_rounds,
@@ -100,22 +101,30 @@ RESULTS_DIR = Path(__file__).parent / "results"
 FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
+def output_dir() -> Path:
+    """``RESULTS_DIR``, or a temporary directory under ``REPRO_BENCH_SMOKE=1``."""
+    if os.environ.get("REPRO_BENCH_SMOKE") == "1":
+        directory = Path(tempfile.gettempdir()) / "repro-bench-smoke"
+    else:
+        directory = RESULTS_DIR
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
+
+
 def report(name: str, text: str) -> None:
-    """Print *text* and persist it under ``benchmarks/results/<name>.txt``."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    """Print *text* and persist it under :func:`output_dir` as ``<name>.txt``."""
+    (output_dir() / f"{name}.txt").write_text(text + "\n")
     print(f"\n[{name}]\n{text}")
 
 
 def report_json(name: str, payload: Dict) -> Path:
-    """Persist a structured result under ``benchmarks/results/<name>.json``.
+    """Persist a structured result under :func:`output_dir` as ``<name>.json``.
 
     The JSON companion of :func:`report`: machine-readable numbers (timings,
     incremental-reuse counters, speedups) that the perf trajectory across PRs
     can diff without re-parsing the text tables.
     """
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
+    path = output_dir() / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -310,14 +310,36 @@ class SqliteResultStore(ResultStore):
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._connection = sqlite3.connect(str(path), check_same_thread=False)
         self._connection.execute(f"PRAGMA busy_timeout = {self.BUSY_TIMEOUT_MS}")
-        # ":memory:" handles report journal_mode "memory"; files report "wal".
-        self.journal_mode = str(
-            self._connection.execute("PRAGMA journal_mode = WAL").fetchone()[0]
-        ).lower()
-        self._connection.execute("PRAGMA synchronous = NORMAL")
-        self._connection.execute(self._SCHEMA)
-        self._connection.commit()
+        try:
+            self.journal_mode = self._initialise()
+        except BaseException:
+            self._connection.close()
+            raise
         self._closed = False
+
+    def _initialise(self) -> str:
+        """Switch to WAL, create the schema and return the journal mode.
+
+        The WAL switch upgrades a read transaction to a write one, and SQLite
+        fails that upgrade at once with ``database is locked`` — without
+        consulting the busy timeout — while another connection holds the
+        write lock, as when several cluster workers open one fresh file
+        together.  Lock errors are therefore retried until the busy timeout
+        is spent; every other error propagates immediately.
+        """
+        deadline = time.monotonic() + self.BUSY_TIMEOUT_MS / 1000
+        while True:
+            try:
+                # ":memory:" handles report journal_mode "memory"; files report "wal".
+                mode = self._connection.execute("PRAGMA journal_mode = WAL").fetchone()[0]
+                self._connection.execute("PRAGMA synchronous = NORMAL")
+                self._connection.execute(self._SCHEMA)
+                self._connection.commit()
+                return str(mode).lower()
+            except sqlite3.OperationalError as error:
+                if "database is locked" not in str(error) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
 
     def _fetch(self, entity_key: str, specification_hash: str) -> Optional[bytes]:
         self._require_open()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.cfd import ConstantCFD
 from repro.core.constraints import CurrencyConstraint
@@ -143,8 +143,8 @@ def stable_key_shard(key: object, num_shards: int) -> int:
     """Shard index of *key*: SHA-1 of its string form, reduced mod *num_shards*.
 
     Unlike :func:`hash`, the result is stable across processes and runs
-    (``PYTHONHASHSEED`` does not perturb it), so a re-sharded re-run or a
-    resumed run assigns every blocking key to the same shard it had before.
+    (``PYTHONHASHSEED`` does not perturb it), so every process of a cluster
+    and every restart routes a key to the same shard.
     """
     if num_shards < 1:
         raise DatasetError(f"num_shards must be positive, got {num_shards}")
@@ -156,23 +156,11 @@ def shard_entities(
     entities: Iterable[GeneratedEntity],
     shard: int = 0,
     num_shards: int = 1,
-    key: Optional[Callable[[GeneratedEntity], object]] = None,
 ) -> Iterator[GeneratedEntity]:
-    """Keep the entities of partition *shard* out of *num_shards*.
+    """Keep every *num_shards*-th entity of the stream, starting at *shard*.
 
-    With ``key=None`` (the default) the partition is round-robin by stream
-    position: every ``num_shards``-th entity starting at *shard*.  With a
-    *key* callable the partition is by :func:`stable_key_shard` of
-    ``key(entity)`` — hash-by-blocking-key, stable across runs and
-    independent of stream position.
-
-    Determinism contract, both modes: the shards are pairwise disjoint and
-    their union is exactly the unsharded stream, so a deterministic merge
-    recombines them byte-identically.  Round-robin shards merge by cycling
-    the shards in index order (the exact inverse of the partition);
-    hash-keyed shards merge by replaying the assignment order — each
-    shard preserves stream order internally, and because the assignment
-    depends only on the key, it is unchanged under re-sharding or resume.
+    Determinism contract: the round-robin shards are pairwise disjoint and
+    cycling them in index order recombines exactly the unsharded stream.
 
     The generators draw every entity from one sequential RNG, so a shard
     cannot simply seed its own generator; instead each shard runs the same
@@ -184,10 +172,7 @@ def shard_entities(
     if not 0 <= shard < num_shards:
         raise DatasetError(f"shard must be in [0, {num_shards}), got {shard}")
     for index, entity in enumerate(entities):
-        if key is not None:
-            if stable_key_shard(key(entity), num_shards) == shard:
-                yield entity
-        elif index % num_shards == shard:
+        if index % num_shards == shard:
             yield entity
 
 

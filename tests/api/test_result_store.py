@@ -1,6 +1,8 @@
 """ResultStore contract: idempotent upserts, hash misses, backend parity."""
 
 import multiprocessing
+import sqlite3
+import time
 
 import pytest
 
@@ -138,6 +140,21 @@ def _hammer_store(path, offset, result, writes):
             store.get(f"writer{offset}_entity{index}", "digest")
 
 
+def _mp_context():
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+def _hold_write_lock(path, ready, seconds):
+    """Child-process worker: hold the file's write lock for *seconds*."""
+    connection = sqlite3.connect(path, isolation_level=None)
+    connection.execute("BEGIN IMMEDIATE")
+    ready.set()
+    time.sleep(seconds)
+    connection.execute("COMMIT")
+    connection.close()
+
+
 class TestCrossProcessConcurrency:
     """The WAL satellite: one SQLite file shared by writers in N processes."""
 
@@ -166,8 +183,7 @@ class TestCrossProcessConcurrency:
         path = str(tmp_path / "contended.db")
         _key, _spec, result = resolved_pairs[0]
         writers, writes = 4, 20
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+        context = _mp_context()
         processes = [
             context.Process(target=_hammer_store, args=(path, offset, result, writes))
             for offset in range(writers)
@@ -180,6 +196,45 @@ class TestCrossProcessConcurrency:
         assert exit_codes == [0] * writers, exit_codes
         with SqliteResultStore(path) as store:
             assert len(store) == writers * writes
+
+    def _open_while_locked(self, path, seconds):
+        context = _mp_context()
+        ready = context.Event()
+        locker = context.Process(target=_hold_write_lock, args=(path, ready, seconds))
+        locker.start()
+        try:
+            assert ready.wait(timeout=30)
+            start = time.monotonic()
+            try:
+                with SqliteResultStore(path) as store:
+                    outcome = store.journal_mode
+            except sqlite3.OperationalError as error:
+                outcome = error
+            waited = time.monotonic() - start
+        finally:
+            locker.join(timeout=30)
+        assert locker.exitcode == 0
+        return outcome, waited
+
+    def test_first_open_waits_out_another_process_write_lock(self, tmp_path):
+        """The WAL switch fails at once under a held write lock; open retries it."""
+        mode, waited = self._open_while_locked(str(tmp_path / "fresh.db"), 0.3)
+        assert mode == "wal"
+        assert waited >= 0.2
+
+    def test_write_lock_past_the_busy_timeout_still_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(SqliteResultStore, "BUSY_TIMEOUT_MS", 100)
+        error, waited = self._open_while_locked(str(tmp_path / "fresh.db"), 2.0)
+        assert isinstance(error, sqlite3.OperationalError)
+        assert "database is locked" in str(error)
+        assert 0.1 <= waited < 2.0
+
+    def test_unrelated_operational_error_is_not_retried(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(SqliteResultStore, "_SCHEMA", "CREATE TABLE results (x) garbage")
+        start = time.monotonic()
+        with pytest.raises(sqlite3.OperationalError, match="unknown table option"):
+            SqliteResultStore(tmp_path / "broken.db")
+        assert time.monotonic() - start < SqliteResultStore.BUSY_TIMEOUT_MS / 2000
 
 
 class TestResumeSkipsStoredPrefix:
@@ -299,8 +354,7 @@ class TestInvalidateAcrossProcesses:
         with SqliteResultStore(path) as store:
             store.put("shared_entity", "digest", result)
         writers, rounds = 4, 15
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+        context = _mp_context()
         processes = [
             context.Process(
                 target=_hammer_invalidations, args=(path, offset, result, rounds)

@@ -14,6 +14,7 @@ import pytest
 
 from repro import faults
 from repro.cli import main
+from repro.datasets import stable_key_shard
 from repro.faults import ENV_VAR, FaultPlan, InjectedCrash
 
 
@@ -133,3 +134,38 @@ class TestCrashResume:
         assert [(q["entity"], q["reason"]) for q in saved["quarantine"]] == [
             ("e03", "injected")
         ]
+
+    def test_checkpoint_from_sharded_run_resumes_exactly_once(self, entities_csv, tmp_path):
+        # Checkpoints written by the former shard-parallel pipeline carry
+        # per-shard merged positions in ``state`` and ``"shard:N"`` dead
+        # letters; only ``processed`` drives the resume, so they keep working.
+        reference = tmp_path / "reference.jsonl"
+        assert main(pipeline_args(entities_csv, reference, tmp_path / "ref.json")) == 0
+        lines = reference.read_bytes().splitlines(keepends=True)
+
+        processed = 4
+        positions = {"0": 0, "1": 0}
+        for name in ENTITIES[:processed]:
+            positions[str(stable_key_shard(name, 2))] += 1
+        checkpoint = tmp_path / "state.json"
+        checkpoint.write_text(json.dumps({
+            "processed": processed,
+            "quarantine": [{
+                "attempts": 3,
+                "entity": "shard:1",
+                "error": "injected shard failure",
+                "reason": "injected",
+            }],
+            "state": {"shard_positions": positions},
+        }, indent=2, sort_keys=True) + "\n")
+        # The crashed run's JSONL ran one record ahead of its checkpoint.
+        output = tmp_path / "out.jsonl"
+        output.write_bytes(b"".join(lines[: processed + 1]))
+
+        assert main([*pipeline_args(entities_csv, output, checkpoint), "--resume"]) == 0
+        assert read_entities(output) == ENTITIES
+        assert output.read_bytes() == reference.read_bytes()
+
+        from repro.pipeline import Checkpoint
+
+        assert Checkpoint(checkpoint).load()["processed"] == len(ENTITIES)

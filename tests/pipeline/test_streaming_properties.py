@@ -166,30 +166,51 @@ class TestShardEntitiesProperties:
 
 
 class TestHashKeyShardProperties:
-    """The ``key=`` partitioner: stable hash-by-blocking-key partitioning."""
+    """:func:`stable_key_shard`: the cluster's stable hash-by-key routing."""
 
     @given(
         items=st.lists(st.text(max_size=12), max_size=60),
         num_shards=st.integers(min_value=1, max_value=7),
     )
     @settings(max_examples=80, deadline=None)
-    def test_keyed_shards_partition_and_merge_by_assignment(self, items, num_shards):
-        shards = [
-            list(shard_entities(items, shard, num_shards, key=str))
-            for shard in range(num_shards)
-        ]
-        # Disjoint cover: every item lands in exactly one shard.
-        assert sum(len(shard) for shard in shards) == len(items)
-        # Replaying the assignment order (a pure function of each key) is
-        # the exact inverse of the partition — the coordinator's merge.
+    def test_routed_queues_merge_back_by_routing_order(self, items, num_shards):
+        # The cluster routes each request to a per-worker FIFO and merges the
+        # answers by replaying the routing decisions in input order.
+        queues = [[] for _ in range(num_shards)]
+        for item in items:
+            queues[stable_key_shard(item, num_shards)].append(item)
+        # Disjoint cover: every item lands in exactly one queue.
+        assert sum(len(queue) for queue in queues) == len(items)
         cursors = [0] * num_shards
         merged = []
         for item in items:
-            index = stable_key_shard(str(item), num_shards)
-            assert shards[index][cursors[index]] == item
-            merged.append(shards[index][cursors[index]])
+            index = stable_key_shard(item, num_shards)
+            merged.append(queues[index][cursors[index]])
             cursors[index] += 1
         assert merged == items
+
+    @given(
+        items=st.lists(st.text(max_size=8), min_size=1, max_size=40),
+        num_shards=st.integers(min_value=1, max_value=7),
+        skip=st.integers(min_value=0, max_value=39),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_routing_is_position_independent(self, items, num_shards, skip):
+        # Dropping a prefix (a resumed run) must not move any surviving item
+        # to a different worker — unlike round-robin, which re-numbers — so
+        # each worker's queue of the resumed run is a suffix of its full one.
+        suffix = items[min(skip, len(items) - 1):]
+
+        def route(stream):
+            queues = {shard: [] for shard in range(num_shards)}
+            for item in stream:
+                queues[stable_key_shard(item, num_shards)].append(item)
+            return queues
+
+        full, resumed = route(items), route(suffix)
+        for shard in range(num_shards):
+            tail = resumed[shard]
+            assert full[shard][len(full[shard]) - len(tail):] == tail
 
     @given(
         items=st.lists(st.text(max_size=8), max_size=40),
@@ -201,29 +222,6 @@ class TestHashKeyShardProperties:
         for item in items:
             index = stable_key_shard(str(item), num_shards)
             assert assignments.setdefault(str(item), index) == index
-
-    @given(
-        items=st.lists(st.text(max_size=8), min_size=1, max_size=40),
-        num_shards=st.integers(min_value=1, max_value=7),
-        skip=st.integers(min_value=0, max_value=39),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_keyed_assignment_is_position_independent(self, items, num_shards, skip):
-        # Dropping a prefix (a resumed run) must not move any surviving item
-        # to a different shard — unlike round-robin, which re-numbers.
-        suffix = items[min(skip, len(items) - 1):]
-        full = {
-            shard: list(shard_entities(items, shard, num_shards, key=str))
-            for shard in range(num_shards)
-        }
-        resumed = {
-            shard: list(shard_entities(suffix, shard, num_shards, key=str))
-            for shard in range(num_shards)
-        }
-        for shard in range(num_shards):
-            # The resumed shard stream is a suffix of the full shard stream.
-            tail = resumed[shard]
-            assert full[shard][len(full[shard]) - len(tail):] == tail
 
     @given(key=st.text(max_size=20), num_shards=st.integers(min_value=1, max_value=64))
     @settings(max_examples=100, deadline=None)
