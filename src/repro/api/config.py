@@ -165,6 +165,14 @@ class RunConfig:
                 f"unknown solver backend {self.options.solver_backend!r}; "
                 f"available backends: {', '.join(available_backends())}"
             )
+        budget = self.options.budget
+        if (
+            self.options.solver_backend == "dpll"
+            and self.options.incremental
+            and budget is not None
+            and not budget.unbounded
+        ):
+            raise ReproError("the dpll solver backend does not support solver budgets")
         if self.options.max_rounds < 0:
             raise ReproError(f"options.max_rounds must be >= 0, got {self.options.max_rounds}")
         if self.retry_policy is not None and not isinstance(self.retry_policy, RetryPolicy):

@@ -51,6 +51,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--solver-backend",
             default="arena",
             metavar="NAME",
-            help="solver-session backend from the registry "
+            help="solver-session backend "
             f"(available: {', '.join(available_backends())})",
         )
         sub.add_argument(
@@ -338,12 +339,11 @@ def _command_validate(args) -> int:
 
 
 def _validated_backend(parser_error, name: str) -> str:
-    """Check a solver-backend name against the registry; fail with the choices."""
+    """Check a solver-backend name against the available ones; fail with the choices."""
     if name not in available_backends():
         parser_error(
             f"unknown solver backend {name!r}; available backends: "
-            f"{', '.join(available_backends())} (register more via "
-            "repro.solvers.session.register_backend)"
+            f"{', '.join(available_backends())}"
         )
     return name
 
@@ -805,6 +805,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--max-inflight must be >= 1, got {max_inflight}")
     if getattr(args, "max_attempts", 1) < 1:
         parser.error(f"--max-attempts must be >= 1, got {args.max_attempts}")
+    if getattr(args, "max_rounds", 0) < 0:
+        parser.error(f"--max-rounds must be >= 0, got {args.max_rounds}")
     cluster = getattr(args, "cluster", 0)
     if cluster < 0:
         parser.error(f"--cluster must be >= 1 worker, got {cluster}")
@@ -820,8 +822,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "':memory:' is per-process — pass a SQLite file path"
             )
     entity_timeout = getattr(args, "entity_timeout", None)
-    if entity_timeout is not None and entity_timeout <= 0:
-        parser.error(f"--entity-timeout must be positive, got {entity_timeout}")
+    if entity_timeout is not None:
+        if not (math.isfinite(entity_timeout) and entity_timeout > 0):
+            parser.error(f"--entity-timeout must be positive and finite, got {entity_timeout}")
+        if args.solver_backend == "dpll":
+            parser.error("--entity-timeout cannot be combined with --solver-backend dpll: "
+                         "the dpll backend does not support solver budgets")
     if getattr(args, "retry_quarantined", False) and not getattr(args, "store", None):
         parser.error("--retry-quarantined requires --store (there is nothing to retry from)")
     if getattr(args, "tcp", None) is not None:

@@ -24,7 +24,7 @@ from repro.core.partial_order import PartialOrder
 from repro.core.values import Value
 from repro.encoding.cnf_encoder import SpecificationEncoding
 from repro.encoding.variables import OrderLiteral, canonical_value
-from repro.solvers.sat import solve
+from repro.solvers.arena import solve
 from repro.solvers.session import SolverSession
 from repro.solvers.unit_propagation import propagate_units
 

@@ -156,9 +156,9 @@ class ResolverOptions:
         clauses.  ``False`` restores the from-scratch behaviour (re-encode and
         cold-solve every round) — the cross-check tests compare the two.
     solver_backend:
-        Registry name of the solver-session backend (``"arena"`` — the flat
-        clause-arena core, the default — ``"cdcl"`` or ``"dpll"``); only used
-        on the incremental path.
+        Name of the solver-session backend: ``"arena"`` (the flat clause-arena
+        CDCL core, the default) or ``"dpll"`` (the reference solver); only
+        used on the incremental path.
     compiled:
         When ``True`` (the default) the resolver compiles the constraint
         program of Σ ∪ Γ once per schema (cached across entities in

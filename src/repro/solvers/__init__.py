@@ -6,21 +6,18 @@ study (MiniSAT, WalkSAT-based MaxSAT, and the clique approximation of [16])
 with self-contained, deterministic Python implementations.
 """
 
-from repro.solvers.arena import ArenaSolver, solve_batch
+from repro.solvers.arena import ArenaSolver, SATResult, solve
 from repro.solvers.budget import SolverBudget
 from repro.solvers.clique import build_graph, bron_kerbosch_cliques, greedy_clique, max_clique
 from repro.solvers.cnf import CNF, Clause, VariablePool
 from repro.solvers.dpll import dpll_solve
 from repro.solvers.maxsat import MaxSATResult, solve_group_maxsat
-from repro.solvers.sat import CDCLSolver, SATResult, solve
 from repro.solvers.session import (
     ArenaSession,
-    CDCLSession,
     DPLLSession,
     SolverSession,
     available_backends,
     create_session,
-    register_backend,
 )
 from repro.solvers.unit_propagation import PropagationResult, propagate_units
 
@@ -28,8 +25,6 @@ __all__ = [
     "ArenaSession",
     "ArenaSolver",
     "CNF",
-    "CDCLSession",
-    "CDCLSolver",
     "Clause",
     "DPLLSession",
     "MaxSATResult",
@@ -46,8 +41,6 @@ __all__ = [
     "greedy_clique",
     "max_clique",
     "propagate_units",
-    "register_backend",
     "solve",
-    "solve_batch",
     "solve_group_maxsat",
 ]

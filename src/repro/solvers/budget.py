@@ -2,7 +2,7 @@
 
 A :class:`SolverBudget` caps how much work a single ``solve`` call may
 perform before the solver returns a clean ``BUDGET_EXCEEDED`` verdict
-(:attr:`~repro.solvers.sat.SATResult.budget_exceeded`).  Exceeding a
+(:attr:`~repro.solvers.arena.SATResult.budget_exceeded`).  Exceeding a
 budget is *not* an error inside the solver: the trail is backtracked to
 decision level zero, learned clauses and activities are kept, and the
 solver (or the :class:`~repro.solvers.session.SolverSession` wrapping
@@ -16,7 +16,8 @@ process-pool boundary and into cache-key digests unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.core.errors import ReproError
@@ -39,6 +40,10 @@ class SolverBudget:
     wall_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ReproError(f"SolverBudget.{field.name} must be finite, got {value}")
         if self.max_conflicts is not None and self.max_conflicts < 1:
             raise ReproError("SolverBudget.max_conflicts must be at least 1")
         if self.max_propagations is not None and self.max_propagations < 1:

@@ -15,32 +15,27 @@ solver alive for that whole lifecycle:
   clauses carried over, learned clauses retained) that the benchmark harness
   surfaces.
 
-Backends are pluggable through a small registry: ``"arena"`` (the default —
-the flat clause-arena port of the CDCL loop, fully incremental, pooled
-buffers), ``"cdcl"`` (the legacy object-graph CDCL solver, behaviourally
-identical) and ``"dpll"`` (stateless reference backend that re-solves from
-scratch — useful for cross-checking the incremental machinery) ship built-in;
-:func:`register_backend` accepts further implementations.
+Two backends are selectable by name: ``"arena"`` (the default — the flat
+clause-arena CDCL solver, fully incremental, pooled buffers) and ``"dpll"``
+(stateless reference backend that re-solves from scratch — useful for
+cross-checking the incremental machinery).
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Type
 
 from repro.core.errors import BudgetExceededError, SolverError
-from repro.solvers.arena import ArenaSolver, acquire_solver, release_solver
+from repro.solvers.arena import ArenaSolver, SATResult, acquire_solver, release_solver
 from repro.solvers.budget import SolverBudget
 from repro.solvers.cnf import CNF
 from repro.solvers.dpll import dpll_solve
-from repro.solvers.sat import CDCLSolver, SATResult
 
 __all__ = [
     "SolverSession",
     "ArenaSession",
-    "CDCLSession",
     "DPLLSession",
-    "register_backend",
     "create_session",
     "available_backends",
 ]
@@ -148,59 +143,16 @@ class SolverSession:
         }
 
 
-class CDCLSession(SolverSession):
-    """Incremental session backed by the persistent :class:`CDCLSolver`.
+class ArenaSession(SolverSession):
+    """Incremental session backed by the flat clause-arena solver.
 
     Clauses are pushed straight into the solver's database; learned clauses,
     VSIDS activities and saved phases survive between ``solve`` calls, so the
     repeated queries of one resolution round (and of later rounds, after the
-    incremental encoder appends the delta clauses) share their work.
-    """
-
-    backend = "cdcl"
-    retains_learned_clauses = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._solver = CDCLSolver()
-
-    @property
-    def solver(self) -> CDCLSolver:
-        """The underlying persistent solver (exposed for diagnostics)."""
-        return self._solver
-
-    @property
-    def learned_clauses(self) -> int:
-        return self._solver.num_learned_clauses
-
-    def ensure_variables(self, count: int) -> None:
-        self._solver.ensure_variables(count)
-
-    def _add_clause(self, literals: Sequence[int]) -> None:
-        self._solver.add_clause(literals)
-
-    def _solve(self, assumptions: Sequence[int], conflict_limit: Optional[int]) -> SATResult:
-        return self._solver.solve(assumptions, conflict_limit=conflict_limit, budget=self.budget)
-
-    def statistics(self) -> Dict[str, int]:
-        stats = super().statistics()
-        stats["conflicts"] = self._solver.total_conflicts
-        stats["decisions"] = self._solver.total_decisions
-        stats["propagations"] = self._solver.total_propagations
-        stats["db_reductions"] = self._solver.db_reductions
-        stats["clauses_deleted"] = self._solver.clauses_deleted
-        return stats
-
-
-class ArenaSession(SolverSession):
-    """Incremental session backed by the flat clause-arena solver.
-
-    Behaviourally identical to :class:`CDCLSession` (the arena solver is an
-    exact port of the legacy CDCL loop, counters included) but with the flat
-    hot path of :class:`~repro.solvers.arena.ArenaSolver`.  The underlying
-    solver is drawn from the per-process pool, so a worker resolving many
-    entities reuses the same warm buffers across their sessions — this is the
-    batch-solving amortisation of the arena core.
+    incremental encoder appends the delta clauses) share their work.  The
+    underlying solver is drawn from the per-process pool, so a worker
+    resolving many entities reuses the same warm buffers across their
+    sessions.
     """
 
     backend = "arena"
@@ -275,21 +227,16 @@ class DPLLSession(SolverSession):
         return dpll_solve(self._cnf, assumptions)
 
 
-_BACKENDS: Dict[str, Callable[[], SolverSession]] = {}
-
-
-def register_backend(name: str, factory: Callable[[], SolverSession]) -> None:
-    """Register a session *factory* under *name* (overwrites earlier entries)."""
-    _BACKENDS[name] = factory
+_BACKENDS: Dict[str, Type[SolverSession]] = {"arena": ArenaSession, "dpll": DPLLSession}
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Names of all registered backends, sorted."""
+    """Names of the selectable backends, sorted."""
     return tuple(sorted(_BACKENDS))
 
 
 def create_session(backend: str = "arena", budget: Optional[SolverBudget] = None) -> SolverSession:
-    """Instantiate a solver session for *backend* (by registry name).
+    """Instantiate a solver session for *backend* (by name).
 
     *budget*, when given, applies to every solve on the returned session
     (see :attr:`SolverSession.budget`).
@@ -304,8 +251,3 @@ def create_session(backend: str = "arena", budget: Optional[SolverBudget] = None
     if budget is not None and not budget.unbounded:
         session.budget = budget
     return session
-
-
-register_backend("arena", ArenaSession)
-register_backend("cdcl", CDCLSession)
-register_backend("dpll", DPLLSession)

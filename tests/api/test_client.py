@@ -14,6 +14,7 @@ from repro.datasets import PersonConfig, generate_person_dataset
 from repro.pipeline import CollectSink, MapStage
 from repro.resolution import ConflictResolver, ResolverOptions
 from repro.serving import EngineHost, SpecificationBuilder, decode_response
+from repro.solvers import SolverBudget
 
 from tests.conftest import EDITH_ROWS, GEORGE_ROWS
 
@@ -320,6 +321,18 @@ class TestRunConfigValidation:
             RunConfig(options=ResolverOptions(fallback="maybe"))
         with pytest.raises(ReproError, match="options"):
             RunConfig(options="fast")
+
+    def test_dpll_backend_with_budget_rejected_up_front(self):
+        # The dpll session cannot honour a budget; without this check the
+        # combination fails mid-run, inside the first entity's solve.
+        budget = SolverBudget(wall_seconds=5.0)
+        with pytest.raises(ReproError, match="dpll solver backend does not support solver budgets"):
+            RunConfig(options=ResolverOptions(solver_backend="dpll", budget=budget))
+        # The budget is fine on the arena, and dpll is fine without a budget
+        # or off the incremental path (where no dpll session is created).
+        RunConfig(options=ResolverOptions(solver_backend="arena", budget=budget))
+        RunConfig(options=ResolverOptions(solver_backend="dpll", budget=SolverBudget()))
+        RunConfig(options=ResolverOptions(solver_backend="dpll", budget=budget, incremental=False))
 
     def test_cache_key_is_structural(self):
         a = RunConfig(options=ResolverOptions(max_rounds=2), workers=2)

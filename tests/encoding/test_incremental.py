@@ -8,7 +8,7 @@ from repro.encoding import IncrementalEncoder, encode_specification, instantiate
 from repro.encoding.incremental import _constraint_key
 from repro.resolution import ConflictResolver, deduce_order
 from repro.resolution.true_values import extract_true_values
-from repro.solvers.sat import solve
+from repro.solvers import solve
 
 
 def _canonical_keys(constraints):

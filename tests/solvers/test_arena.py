@@ -1,72 +1,32 @@
-"""Tests for the flat clause-arena solver: exact equivalence with the legacy CDCL.
+"""Tests for the flat clause-arena solver: its pool and its pinned search.
 
-The arena solver is a *behavioural port*, not just a compatible one: given the
-same clause/solve sequence it must make the same decisions, learn the same
-clauses and report the same counters as :class:`CDCLSolver` — the resolution
-round reports surface those counters, so anything weaker would change
-recorded outputs.  The property-based tests here drive both solvers through
-identical incremental scenarios (interleaved clause additions and assumption
-solves, restarts, clause-database reduction) and require identical verdicts,
-models and search statistics.
+The resolution round reports surface the solver's counters, so the search
+itself — not just the verdicts — is part of the recorded output.
+``data/cdcl_search.json`` pins it on a fixed corpus: ~100 interleaved
+add-clause/assumption-solve scenarios, near-threshold random 3-CNFs that force
+restarts and learned-clause database reduction, pigeonhole formulas and the
+Φ(S_e) of a few Person and NBA entities (validity solve plus refutation
+probes).  For every solve it records the verdict, the model, decisions,
+conflicts, propagations and restarts, and per scenario the cumulative
+counters; the replay below must match exactly.
 """
 
+import json
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import SolverError
-from repro.solvers import CNF, ArenaSolver, CDCLSolver
-from repro.solvers.arena import acquire_solver, release_solver, solve, solve_batch
+from repro.solvers import CNF, ArenaSolver
+from repro.solvers.arena import acquire_solver, release_solver
 
-
-def assert_same_search(arena: ArenaSolver, legacy: CDCLSolver) -> None:
-    """The cumulative counters must match exactly — identical search trees."""
-    assert arena.total_decisions == legacy.total_decisions
-    assert arena.total_conflicts == legacy.total_conflicts
-    assert arena.total_propagations == legacy.total_propagations
-    assert arena.total_restarts == legacy.total_restarts
-
-
-def assert_same_result(ours, reference) -> None:
-    assert ours.satisfiable == reference.satisfiable
-    assert ours.model == reference.model
-    assert ours.decisions == reference.decisions
-    assert ours.conflicts == reference.conflicts
-    assert ours.propagations == reference.propagations
-    assert ours.restarts == reference.restarts
+PINNED_SEARCH = json.loads((Path(__file__).parent / "data" / "cdcl_search.json").read_text())
 
 
 class TestBasics:
-    def test_empty_formula_is_satisfiable(self):
-        assert solve(CNF()).satisfiable
-
-    def test_contradictory_units(self):
-        assert not solve(CNF([[1], [-1]])).satisfiable
-
-    def test_model_satisfies_formula(self):
-        cnf = CNF([[1, 2], [-1, 3], [-2, -3], [2, 3]])
-        result = solve(cnf)
-        assert result.satisfiable
-        assert cnf.evaluate(result.model) is True
-
     def test_zero_assumption_rejected(self):
         with pytest.raises(SolverError):
             ArenaSolver(CNF([[1]])).solve(assumptions=[0])
-
-    def test_conflict_limit_raises(self):
-        clauses = []
-
-        def var(i, h):
-            return 4 * i + h + 1
-
-        for i in range(5):
-            clauses.append([var(i, h) for h in range(4)])
-        for h in range(4):
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    clauses.append([-var(i, h), -var(j, h)])
-        with pytest.raises(SolverError):
-            ArenaSolver(CNF(clauses)).solve(conflict_limit=3)
 
     def test_reusable_across_assumption_calls(self):
         solver = ArenaSolver(CNF([[1, 2], [-1, 2]]))
@@ -97,70 +57,55 @@ class TestSolverPool:
         solver.add_clause([1])
         assert solver.solve().satisfiable
 
-    def test_solve_batch_matches_individual_solves(self):
-        formulas = [CNF([[1, 2]]), CNF([[1], [-1]]), CNF([[1, -2], [2]])]
-        batched = solve_batch(formulas)
-        individual = [solve(cnf) for cnf in formulas]
-        for ours, reference in zip(batched, individual):
-            assert ours.satisfiable == reference.satisfiable
-            assert ours.model == reference.model
+
+# -- the pinned search ---------------------------------------------------------
 
 
-# -- property-based exact equivalence with the legacy CDCL ---------------------
+def _record(result):
+    model = None
+    if result.model is not None:
+        model = "".join("1" if result.model[v] else "0" for v in sorted(result.model))
+    return {
+        "satisfiable": result.satisfiable,
+        "model": model,
+        "decisions": result.decisions,
+        "conflicts": result.conflicts,
+        "propagations": result.propagations,
+        "restarts": result.restarts,
+    }
 
 
-@st.composite
-def clause_batches(draw):
-    """A sequence of (clauses, assumptions) rounds for incremental solving."""
-    num_variables = draw(st.integers(1, 8))
-    rounds = []
-    for _ in range(draw(st.integers(1, 3))):
-        clauses = []
-        for _ in range(draw(st.integers(0, 12))):
-            width = draw(st.integers(1, 3))
-            clauses.append(
-                [
-                    draw(st.integers(1, num_variables)) * draw(st.sampled_from([1, -1]))
-                    for _ in range(width)
-                ]
-            )
-        assumptions = draw(
-            st.lists(
-                st.integers(-num_variables, num_variables).filter(lambda x: x != 0),
-                max_size=3,
-            )
-        )
-        rounds.append((clauses, assumptions))
-    return rounds
+def _totals(solver):
+    return {
+        "solve_calls": solver.solve_calls,
+        "decisions": solver.total_decisions,
+        "conflicts": solver.total_conflicts,
+        "propagations": solver.total_propagations,
+        "restarts": solver.total_restarts,
+        "learned_clauses": solver.num_learned_clauses,
+        "db_reductions": solver.db_reductions,
+        "clauses_deleted": solver.clauses_deleted,
+    }
 
 
-@given(clause_batches())
-@settings(max_examples=120, deadline=None)
-def test_arena_matches_legacy_incremental(rounds):
-    """Interleaved add_clause/solve sequences produce identical searches."""
-    arena = ArenaSolver()
-    legacy = CDCLSolver()
-    for clauses, assumptions in rounds:
-        for clause in clauses:
-            arena.add_clause(clause)
-            legacy.add_clause(clause)
-        assert_same_result(arena.solve(assumptions), legacy.solve(assumptions))
-    assert_same_search(arena, legacy)
+@pytest.mark.parametrize(
+    "scenario", PINNED_SEARCH["scenarios"], ids=lambda scenario: scenario["name"]
+)
+def test_arena_replays_pinned_search(scenario):
+    """Same clause/solve sequence → same verdicts, models and counters.
 
+    The replay runs twice on one solver with a :meth:`ArenaSolver.reset` in
+    between, so a pooled (recycled) solver must search exactly like a fresh one.
+    """
+    solver = ArenaSolver()
+    for _ in range(2):
+        solver.ensure_variables(scenario["num_variables"])
+        if scenario.get("max_learned") is not None:
+            # A tiny learned-clause budget drives the search through DB reduction.
+            solver._max_learned = scenario["max_learned"]
+        for index, step in enumerate(scenario["rounds"]):
+            solver.add_clauses(step["clauses"])
+            assert _record(solver.solve(step["assumptions"])) == step["expect"], index
+        assert _totals(solver) == scenario["totals"]
+        solver.reset()
 
-@given(st.integers(0, 1_000_000))
-@settings(max_examples=10, deadline=None)
-def test_arena_matches_legacy_under_restarts(seed):
-    """Hard random instances force restarts/DB reduction down identical paths."""
-    import random
-
-    rng = random.Random(seed)
-    num_variables = 30
-    cnf = CNF(num_variables=num_variables)
-    for _ in range(int(num_variables * 4.2)):
-        variables = rng.sample(range(1, num_variables + 1), 3)
-        cnf.add_clause([v if rng.random() < 0.5 else -v for v in variables])
-    arena = ArenaSolver(cnf)
-    legacy = CDCLSolver(cnf)
-    assert_same_result(arena.solve(), legacy.solve())
-    assert_same_search(arena, legacy)

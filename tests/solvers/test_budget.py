@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.errors import BudgetExceededError, ReproError, SolverError
 from repro.solvers import CNF, SolverBudget, solve
-from repro.solvers.arena import solve as arena_solve
 from repro.solvers.session import create_session
 
 
@@ -32,6 +31,16 @@ class TestSolverBudget:
         with pytest.raises(ReproError):
             SolverBudget(wall_seconds=0.0)
 
+    @pytest.mark.parametrize(
+        "field", ["max_conflicts", "max_propagations", "wall_seconds"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        # nan compares false against every bound and inf passes a lower
+        # bound, so only an explicit finiteness check keeps them out.
+        with pytest.raises(ReproError, match="must be finite"):
+            SolverBudget(**{field: value})
+
     def test_unbounded(self):
         assert SolverBudget().unbounded
         assert not SolverBudget(max_conflicts=5).unbounded
@@ -44,60 +53,53 @@ class TestSolverBudget:
 
 
 class TestBudgetedSolve:
-    @pytest.mark.parametrize("solver", [solve, arena_solve], ids=["cdcl", "arena"])
-    def test_conflict_budget_yields_clean_verdict(self, solver):
-        result = solver(pigeonhole_cnf(), budget=SolverBudget(max_conflicts=1))
+    def test_conflict_budget_yields_clean_verdict(self):
+        result = solve(pigeonhole_cnf(), budget=SolverBudget(max_conflicts=1))
         assert not result.satisfiable
         assert result.budget_exceeded
         assert result.conflicts <= 2  # budget checked per loop iteration
 
-    @pytest.mark.parametrize("solver", [solve, arena_solve], ids=["cdcl", "arena"])
-    def test_propagation_budget(self, solver):
-        result = solver(pigeonhole_cnf(), budget=SolverBudget(max_propagations=1))
+    def test_propagation_budget(self):
+        result = solve(pigeonhole_cnf(), budget=SolverBudget(max_propagations=1))
         assert result.budget_exceeded
 
-    @pytest.mark.parametrize("solver", [solve, arena_solve], ids=["cdcl", "arena"])
-    def test_unbounded_budget_is_a_no_op(self, solver):
-        result = solver(pigeonhole_cnf(3, 2), budget=SolverBudget())
+    def test_unbounded_budget_is_a_no_op(self):
+        result = solve(pigeonhole_cnf(3, 2), budget=SolverBudget())
         assert not result.satisfiable
         assert not result.budget_exceeded
 
-    @pytest.mark.parametrize("solver", [solve, arena_solve], ids=["cdcl", "arena"])
-    def test_true_unsat_beats_budget_verdict(self, solver):
+    def test_true_unsat_beats_budget_verdict(self):
         # Contradictory units fail at level 0 before any conflict is counted:
         # the genuine UNSAT verdict must win over the budget one.
-        result = solver(CNF([[1], [-1]]), budget=SolverBudget(max_conflicts=1))
+        result = solve(CNF([[1], [-1]]), budget=SolverBudget(max_conflicts=1))
         assert not result.satisfiable
         assert not result.budget_exceeded
 
-    @pytest.mark.parametrize("solver", [solve, arena_solve], ids=["cdcl", "arena"])
-    def test_satisfiable_within_budget(self, solver):
+    def test_satisfiable_within_budget(self):
         cnf = CNF([[1, 2], [-1, 3], [-2, -3], [2, 3]])
-        result = solver(cnf, budget=SolverBudget(max_conflicts=10_000))
+        result = solve(cnf, budget=SolverBudget(max_conflicts=10_000))
         assert result.satisfiable
         assert not result.budget_exceeded
 
 
 class TestBudgetedSessions:
-    @pytest.mark.parametrize("backend", ["cdcl", "arena"])
-    def test_session_raises_and_stays_usable(self, backend):
+    def test_session_raises_and_stays_usable(self):
         # Acceptance: a budget blowout must leave the session reusable — the
         # same session, budget lifted, reaches the same verdict as a fresh one.
         cnf = pigeonhole_cnf()
-        session = create_session(backend=backend, budget=SolverBudget(max_conflicts=1))
+        session = create_session(budget=SolverBudget(max_conflicts=1))
         session.add_clauses(cnf.clauses)
         with pytest.raises(BudgetExceededError):
             session.solve()
         session.budget = None
         reused = session.solve()
 
-        fresh = create_session(backend=backend)
+        fresh = create_session()
         fresh.add_clauses(cnf.clauses)
         assert reused.satisfiable == fresh.solve().satisfiable is False
 
-    @pytest.mark.parametrize("backend", ["cdcl", "arena"])
-    def test_budget_applies_per_solve_call(self, backend):
-        session = create_session(backend=backend)
+    def test_budget_applies_per_solve_call(self):
+        session = create_session()
         session.add_clauses(pigeonhole_cnf().clauses)
         session.budget = SolverBudget(max_conflicts=1)
         with pytest.raises(BudgetExceededError):

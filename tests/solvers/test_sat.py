@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SolverError
-from repro.solvers import CNF, CDCLSolver, dpll_solve, solve
+from repro.solvers import CNF, dpll_solve, solve
 
 
 def assert_model_satisfies(cnf: CNF, model: dict) -> None:
@@ -81,12 +81,6 @@ class TestAssumptions:
         result = solve(CNF([[1]]), assumptions=[5])
         assert result.satisfiable
         assert result.model[5] is True
-
-    def test_solver_is_reusable_across_assumption_calls(self):
-        solver = CDCLSolver(CNF([[1, 2], [-1, 2]]))
-        assert solver.solve(assumptions=[-2]).satisfiable is False
-        assert solver.solve(assumptions=[2]).satisfiable is True
-        assert solver.solve().satisfiable is True
 
 
 class TestLimits:

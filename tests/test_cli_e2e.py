@@ -95,7 +95,7 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         message = capsys.readouterr().err
         assert "unknown solver backend 'chaff'" in message
-        assert "cdcl" in message and "dpll" in message
+        assert "arena" in message and "dpll" in message
 
     def test_serve_unknown_solver_backend_rejected(self, requests_jsonl, capsys):
         with pytest.raises(SystemExit) as excinfo:

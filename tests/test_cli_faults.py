@@ -35,7 +35,8 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert "--max-attempts must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "-1.5"])
+    # nan would pass a "<= 0" check and silently run without a deadline.
+    @pytest.mark.parametrize("value", ["0", "-1.5", "nan", "inf"])
     def test_non_positive_entity_timeout_rejected(self, value, people_csv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(
@@ -44,6 +45,23 @@ class TestUsageErrors:
             )
         assert excinfo.value.code == 2
         assert "--entity-timeout must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["resolve", "pipeline"])
+    def test_entity_timeout_with_dpll_backend_rejected(self, command, people_csv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [command, str(people_csv), "--entity-key", "name",
+                 "--solver-backend", "dpll", "--entity-timeout", "5"]
+            )
+        assert excinfo.value.code == 2
+        assert "the dpll backend does not support solver budgets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["resolve", "pipeline"])
+    def test_negative_max_rounds_rejected(self, command, people_csv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(people_csv), "--entity-key", "name", "--max-rounds", "-1"])
+        assert excinfo.value.code == 2
+        assert "--max-rounds must be >= 0" in capsys.readouterr().err
 
     def test_retry_quarantined_requires_a_store(self, people_csv, capsys):
         with pytest.raises(SystemExit) as excinfo:

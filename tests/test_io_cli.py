@@ -175,22 +175,42 @@ class TestCLI:
         assert exit_code == 0
         assert "true values deduced" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("backend", ["cdcl", "dpll"])
-    def test_resolve_accepts_registered_solver_backends(self, people_csv, constraints_file, backend, capsys):
-        exit_code = main(
-            [
-                "resolve",
-                str(people_csv),
-                "--entity-key",
-                "name",
-                "--constraints",
-                str(constraints_file),
-                "--solver-backend",
-                backend,
-            ]
+    def test_resolve_output_identical_across_solver_backends(
+        self, people_csv, constraints_file, tmp_path, capsys
+    ):
+        # The DPLL reference backend cross-checks the arena CDCL core at the
+        # operator entry point: the resolved CSV must be byte-identical.
+        outputs = {}
+        for backend in ("arena", "dpll"):
+            outputs[backend] = tmp_path / f"resolved-{backend}.csv"
+            exit_code = main(
+                [
+                    "resolve",
+                    str(people_csv),
+                    "--entity-key",
+                    "name",
+                    "--constraints",
+                    str(constraints_file),
+                    "--fallback",
+                    "pick",
+                    "--solver-backend",
+                    backend,
+                    "-o",
+                    str(outputs[backend]),
+                ]
+            )
+            assert exit_code == 0
+            assert "true values deduced" in capsys.readouterr().out
+        assert outputs["arena"].read_bytes() == outputs["dpll"].read_bytes()
+
+    def test_removed_cdcl_backend_rejected(self, people_csv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["resolve", str(people_csv), "--entity-key", "name", "--solver-backend=cdcl"])
+        assert excinfo.value.code == 2
+        assert (
+            "unknown solver backend 'cdcl'; available backends: arena, dpll"
+            in capsys.readouterr().err
         )
-        assert exit_code == 0
-        assert "true values deduced" in capsys.readouterr().out
 
     def test_unknown_solver_backend_rejected_with_choices(self, people_csv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -198,7 +218,7 @@ class TestCLI:
         assert excinfo.value.code == 2
         message = capsys.readouterr().err
         assert "unknown solver backend 'minisat'" in message
-        assert "cdcl" in message and "dpll" in message
+        assert "arena" in message and "dpll" in message
 
     def test_pipeline_command_streams_jsonl(self, people_csv, constraints_file, tmp_path, capsys):
         import json
