@@ -21,6 +21,12 @@ This benchmark puts numbers on that claim:
   JSON report, the same numbers ``stats()``' ``cdc`` block exposes in the
   serving cluster.
 
+Both experiments run the ``serve --follow`` configuration: the consumer
+follows a JSONL feed opened by path while a separate producer handle appends
+to it, so every poll reads the file through the consumer's own handle.  The
+lag sweep asserts that the lag read through that handle matches the
+producer's.
+
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI) shrinks the dataset and
 the sweep: it proves the append → consume → re-resolve → report path
 end-to-end without burning CI minutes.  Standalone::
@@ -30,15 +36,18 @@ end-to-end without burning CI minutes.  Standalone::
 
 from __future__ import annotations
 
+import contextlib
 import os
+import tempfile
 import time
+from pathlib import Path
 from typing import Dict, List, Sequence
 
 from _harness import report, report_json
 from repro.api import MemoryResultStore, ResolutionClient, RunConfig
 from repro.cdc import (
     ChangeConsumer,
-    MemoryChangeFeed,
+    JsonlChangeFeed,
     TupleAdded,
     TupleRetracted,
     feed_status,
@@ -108,6 +117,30 @@ def _canonical(store) -> Dict:
     }
 
 
+@contextlib.contextmanager
+def _follow(dataset, store, events):
+    """A producer handle and a consumer following one JSONL feed by path.
+
+    This is the ``serve --follow`` configuration: the consumer reads the
+    file through its own handle.  The feed starts with *events*.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feed.jsonl"
+        with JsonlChangeFeed(path) as producer, ResolutionClient(
+            _config(store)
+        ) as client:
+            for event in events:
+                producer.append(event)
+            with ChangeConsumer(
+                str(path),
+                client,
+                dataset.schema,
+                sigma=tuple(dataset.currency_constraints),
+                gamma=tuple(dataset.cfds),
+            ) as consumer:
+                yield producer, consumer
+
+
 def incremental_vs_full(dataset) -> Dict:
     """Consume a change tail incrementally; compare per-event cost against a
     from-scratch batch re-run of the final registry state."""
@@ -116,18 +149,14 @@ def incremental_vs_full(dataset) -> Dict:
     bootstrap = _bootstrap_events(dataset)
     changes = _change_events(dataset, CHANGES, seed=13)
 
-    feed = MemoryChangeFeed()
-    for event in bootstrap + changes:
-        feed.append(event)
     store = MemoryResultStore()
-    with ResolutionClient(_config(store)) as client:
-        with ChangeConsumer(
-            feed, client, dataset.schema, sigma=sigma, gamma=gamma
-        ) as consumer:
-            consumer.consume(max_events=len(bootstrap))  # warm, not timed
-            start = time.perf_counter()
-            tail = consumer.consume()
-            incremental_wall = time.perf_counter() - start
+    with _follow(dataset, store, bootstrap) as (producer, consumer):
+        consumer.consume()  # warm, not timed
+        for event in changes:
+            producer.append(event)
+        start = time.perf_counter()
+        tail = consumer.consume()
+        incremental_wall = time.perf_counter() - start
     assert tail.applied == len(changes)
     per_event = incremental_wall / len(changes)
 
@@ -167,32 +196,28 @@ def incremental_vs_full(dataset) -> Dict:
 def lag_sweep(dataset) -> List[Dict]:
     """Append events between polls at rates bracketing the service chunk and
     record the ``behind`` gauge after every poll."""
-    sigma = tuple(dataset.currency_constraints)
-    gamma = tuple(dataset.cfds)
     bootstrap = _bootstrap_events(dataset)
     runs: List[Dict] = []
     for offered in OFFERED_RATES:
         stream = iter(
             _change_events(dataset, offered * LAG_POLLS, seed=17 + offered)
         )
-        feed = MemoryChangeFeed()
-        for event in bootstrap:
-            feed.append(event)
-        store = MemoryResultStore()
-        with ResolutionClient(_config(store)) as client:
-            with ChangeConsumer(
-                feed, client, dataset.schema, sigma=sigma, gamma=gamma
-            ) as consumer:
-                consumer.consume()  # drain the bootstrap
-                behind: List[int] = []
-                start = time.perf_counter()
-                applied = 0
-                for _ in range(LAG_POLLS):
-                    for _ in range(offered):
-                        feed.append(next(stream))
-                    applied += consumer.consume(max_events=SERVICE_CHUNK).applied
-                    behind.append(feed_status(feed, consumer.position)["behind"])
-                wall = time.perf_counter() - start
+        with _follow(dataset, MemoryResultStore(), bootstrap) as (producer, consumer):
+            consumer.consume()  # drain the bootstrap
+            behind: List[int] = []
+            start = time.perf_counter()
+            applied = 0
+            for _ in range(LAG_POLLS):
+                for _ in range(offered):
+                    producer.append(next(stream))
+                applied += consumer.consume(max_events=SERVICE_CHUNK).applied
+                lag = consumer.status()["behind"]
+                expected = feed_status(producer, consumer.position)["behind"]
+                assert lag == expected, (
+                    f"consumer handle reads lag {lag}, producer {expected}"
+                )
+                behind.append(lag)
+            wall = time.perf_counter() - start
         runs.append(
             {
                 "offered_per_poll": float(offered),

@@ -23,20 +23,26 @@ equivalence):
 
 * :class:`MemoryChangeFeed` — an in-process list, for tests;
 * :class:`JsonlChangeFeed` — one envelope per line in an append-only file,
-  human-readable and `tail -f`-able;
+  human-readable and `tail -f`-able, tailed by byte offset; one appending
+  process;
 * :class:`SqliteChangeFeed` — a SQLite file in WAL mode, safe for concurrent
   appenders across processes (same journal settings as the result store).
 """
 
 from __future__ import annotations
 
+import bisect
 import json
+import os
 import sqlite3
+import sys
 import threading
 import time
+import weakref
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.core.errors import ReproError
 from repro.core.values import Value, is_null
@@ -292,19 +298,61 @@ class MemoryChangeFeed(ChangeFeed):
         return self._data[-1].seq if self._data else 0
 
     def _records(self, after: int) -> Iterator[FeedRecord]:
-        for record in self._data:
-            if record.seq > after:
-                yield record
+        first = bisect.bisect_right(self._data, after, key=lambda record: record.seq)
+        return iter(self._data[first:])
+
+
+class _StaleIndex(Exception):
+    """The file no longer holds the lines a :class:`JsonlChangeFeed` indexed."""
+
+
+#: One lock per JSONL file, shared by every handle on it in this process, so
+#: appends through different handles cannot race for a sequence number.
+_PATH_LOCKS: "weakref.WeakValueDictionary[str, threading.Lock]" = (
+    weakref.WeakValueDictionary()
+)
+_PATH_LOCKS_GUARD = threading.Lock()
+
+
+def _path_lock(path: Path) -> threading.Lock:
+    key = str(path.resolve())
+    with _PATH_LOCKS_GUARD:
+        lock = _PATH_LOCKS.get(key)
+        if lock is None:
+            lock = _PATH_LOCKS[key] = threading.Lock()
+        return lock
 
 
 class JsonlChangeFeed(ChangeFeed):
     """One envelope per line in an append-only text file.
 
     Appends go through one handle opened in append mode and are flushed per
-    event; replay reopens the file read-only, so a reader never disturbs the
-    writer.  On open, the existing tail is scanned to recover the last
-    assigned sequence number (the envelope carries it, so recovery is a scan,
-    not a rewrite).
+    event; replay reads through a separate read-only handle, so a reader
+    never disturbs the writer.
+
+    Each handle keeps a byte-offset index of the complete lines it has
+    decoded (sequence number → start of its line), seeded by the scan at
+    open.  ``events(after=k)`` seeks to the first indexed record past *k* —
+    or, when there is none, to the last indexed line — and decodes only from
+    there on, so a follower polling a growing file decodes each new line
+    once.  Lines past the indexed end get the open-time checks (valid
+    envelopes, strictly increasing ``seq``) and are indexed once
+    newline-terminated; an unterminated final line is read but not indexed,
+    so a line still being written is read again by the next call.  A read
+    trusts the index only while the file is no shorter than the indexed end
+    and every indexed line it passes sits at its recorded offset with its
+    recorded sequence number (the last indexed line: byte for byte);
+    otherwise it drops the index and rescans from offset 0, so a file
+    rewritten under the reader is never misread.
+
+    :meth:`last_sequence` reads the lines past the indexed end too, unless
+    the file still has the size this handle last read or wrote — so it sees
+    appends made through other handles, while a writer's own appends cost
+    it no decode.  :meth:`append` takes its sequence number from it.
+
+    A JSONL feed supports one appending *process*: the handles on a file
+    within one process share a lock, but nothing orders appends from several
+    processes — use :class:`SqliteChangeFeed` for concurrent appenders.
     """
 
     backend = "jsonl"
@@ -313,44 +361,146 @@ class JsonlChangeFeed(ChangeFeed):
         super().__init__()
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._last = 0
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as handle:
-                for number, line in enumerate(handle, start=1):
-                    stripped = line.strip()
-                    if not stripped:
-                        continue
-                    record = _decode_envelope(stripped, f"{self.path}:{number}")
-                    if record.seq <= self._last:
-                        raise FeedError(
-                            f"{self.path}:{number}: sequence {record.seq} is not "
-                            f"monotonic (last was {self._last})"
-                        )
-                    self._last = record.seq
-        self._handle = self.path.open("a", encoding="utf-8")
+        self._lock = _path_lock(self.path)
         self._closed = False
+        self._reset_index()
+        with self._lock:
+            self._read(after=sys.maxsize)  # index the whole file, fully checked
+            self._handle = self.path.open("ab")
+
+    def _reset_index(self) -> None:
+        # One entry per indexed record line: its sequence number, the offset
+        # its line starts at and its 1-based line number.
+        self._seqs = array("q")
+        self._offsets = array("q")
+        self._numbers = array("q")
+        #: Offset just past the last indexed (newline-terminated) line.
+        self._end = 0
+        #: The last indexed record line, newline included.
+        self._anchor = b""
+        #: Highest sequence number in the file when it had ``_size`` bytes.
+        self._last = 0
+        self._size = 0
+        #: Whether the file's final line lacks its newline.
+        self._unterminated = False
+
+    def _decode(self, line: bytes, number: int) -> FeedRecord:
+        where = f"{self.path}:{number}"
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise FeedError(f"{where}: envelope is not valid UTF-8: {error}") from None
+        return _decode_envelope(text.strip(), where)
+
+    def _read(self, after: int) -> List[FeedRecord]:
+        """Decode the records past *after* through the index, extending it.
+
+        Raises :class:`_StaleIndex` when the file does not match the index.
+        """
+        seqs, offsets, numbers = self._seqs, self._offsets, self._numbers
+        indexed = len(seqs)
+        entry = bisect.bisect_right(seqs, after)
+        if entry == indexed and indexed:
+            entry -= 1  # nothing indexed past *after*: start at the last line
+        start = offsets[entry] if indexed else 0
+        number = numbers[entry] - 1 if indexed else 0
+        try:
+            with self.path.open("rb") as handle:
+                handle.seek(start)
+                data = handle.read()
+        except FileNotFoundError:
+            data = b""
+        if start + len(data) < self._end:
+            raise _StaleIndex
+        records: List[FeedRecord] = []
+        last = seqs[-1] if seqs else 0
+        position = 0
+        while position < len(data):
+            newline = data.find(b"\n", position)
+            stop = len(data) if newline < 0 else newline + 1
+            line, offset = data[position:stop], start + position
+            position = stop
+            number += 1
+            if offset < self._end:
+                # An indexed line: it must be the one the index recorded.
+                if not line.strip():
+                    continue
+                if entry >= indexed or offset != offsets[entry]:
+                    raise _StaleIndex
+                if seqs[entry] <= after:  # the last indexed line, not wanted
+                    if line != self._anchor:
+                        raise _StaleIndex
+                else:
+                    try:
+                        record = self._decode(line, number)
+                    except FeedError:
+                        raise _StaleIndex from None
+                    if record.seq != seqs[entry]:
+                        raise _StaleIndex
+                    records.append(record)
+                entry += 1
+                continue
+            if entry < indexed:
+                raise _StaleIndex
+            if line.strip():
+                record = self._decode(line, number)
+                if record.seq <= last:
+                    raise FeedError(
+                        f"{self.path}:{number}: sequence {record.seq} is not "
+                        f"monotonic (last was {last})"
+                    )
+                if record.seq > sys.maxsize:  # the index holds 64-bit integers
+                    raise FeedError(
+                        f"{self.path}:{number}: sequence {record.seq} is out of range"
+                    )
+                last = record.seq
+                if record.seq > after:
+                    records.append(record)
+                if newline >= 0:
+                    seqs.append(record.seq)
+                    offsets.append(offset)
+                    numbers.append(number)
+                    self._anchor = line
+            if newline >= 0:
+                self._end = start + stop
+        if entry < indexed:
+            raise _StaleIndex
+        self._last, self._size = last, start + len(data)
+        self._unterminated = not data.endswith(b"\n") and bool(data)
+        return records
+
+    def _tail(self, after: int) -> List[FeedRecord]:
+        """:meth:`_read`, rescanning from offset 0 when the index is stale."""
+        self._require_open()
+        try:
+            return self._read(after)
+        except _StaleIndex:
+            self._reset_index()
+            return self._read(after)
 
     def _append(self, record: FeedRecord) -> None:
         self._require_open()
-        self._handle.write(encode_envelope(record) + "\n")
+        # The final line, if unterminated, decoded (or no sequence number
+        # would have been assigned): end it before the new line.
+        line = b"\n" if self._unterminated else b""
+        line += (encode_envelope(record) + "\n").encode("utf-8")
+        self._handle.write(line)
         self._handle.flush()
-        self._last = record.seq
+        self._last, self._size = record.seq, self._size + len(line)
+        self._unterminated = False
 
     def _last_sequence(self) -> int:
+        self._require_open()
+        try:
+            unchanged = self.path.stat().st_size == self._size
+        except FileNotFoundError:
+            unchanged = False
+        if not unchanged:
+            self._tail(self._seqs[-1] if self._seqs else 0)
         return self._last
 
     def _records(self, after: int) -> Iterator[FeedRecord]:
-        self._require_open()
-        if not self.path.exists():
-            return
-        with self.path.open("r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                record = _decode_envelope(stripped, f"{self.path}:{number}")
-                if record.seq > after:
-                    yield record
+        return iter(self._tail(after))
 
     def _require_open(self) -> None:
         if self._closed:

@@ -84,6 +84,49 @@ class TestCodecProperties:
                     got = [(r.seq, r.event) for r in feed.events(after=after)]
                     assert got == expected
 
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("append"), st.integers(0, 1), EVENTS),
+                st.tuples(st.just("read"), st.integers(0, 1), st.integers(0, 10)),
+            ),
+            max_size=14,
+        )
+    )
+    @settings(deadline=None)
+    def test_two_handles_agree_across_backends(self, ops):
+        """Appends through either of two handles, reads through either: every
+        backend holds one sequence chain and serves the same suffixes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            memory = MemoryChangeFeed()
+            pairs = [
+                (memory, memory),
+                tuple(JsonlChangeFeed(Path(tmp) / "feed.jsonl") for _ in range(2)),
+                tuple(SqliteChangeFeed(Path(tmp) / "feed.db") for _ in range(2)),
+            ]
+            try:
+                appended = []
+                for op, handle, argument in ops:
+                    if op == "append":
+                        appended.append(argument)
+                        sequences = [pair[handle].append(argument) for pair in pairs]
+                        assert sequences == [len(appended)] * len(pairs)
+                        continue
+                    expected = [
+                        (seq, event)
+                        for seq, event in enumerate(appended, start=1)
+                        if seq > argument
+                    ]
+                    for pair in pairs:
+                        feed = pair[handle]
+                        got = [(r.seq, r.event) for r in feed.events(after=argument)]
+                        assert got == expected
+                        assert feed.last_sequence() == len(appended)
+            finally:
+                for pair in pairs:
+                    for feed in pair:
+                        feed.close()
+
 
 def _datasets():
     return {
